@@ -5,9 +5,9 @@
 //! isolation on the medium app so the relative costs can be compared, and
 //! the per-stage work counters (`StageMetrics`) are printed alongside.
 //!
-//! A final group measures the parallel refutation stage on a
-//! refutation-bound stress app (`--refute-jobs 1` vs `4`) and writes all
-//! measurements to `BENCH_table4.json` for CI artifact upload.
+//! Further groups measure the ablations, summary and artifact reuse and
+//! corpus throughput, and the bench writes all measurements to
+//! `BENCH_table4.json` for CI artifact upload.
 //!
 //! ```sh
 //! cargo bench --bench table4_efficiency
@@ -16,9 +16,7 @@
 use pointer::{Access, SelectorKind};
 use sierra_bench::{group, time};
 use sierra_core::json::{num, obj};
-use sierra_core::{
-    refute_candidates, Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SummaryStore,
-};
+use sierra_core::{Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SummaryStore};
 use std::sync::Arc;
 use std::time::Duration;
 use symexec::{Refuter, RefuterConfig};
@@ -107,72 +105,6 @@ fn main() {
         "refuter: {} paths over {} queries ({} refuted, {} budget-exhausted)",
         m.refuter.paths, m.refuter.queries, m.refuter.refuted, m.refuter.budget_exhausted
     );
-
-    // Parallel refutation speedup on a refutation-bound stress app: each
-    // of its candidate pairs drives the backward executor to its path
-    // budget, so the stage is embarrassingly parallel across pairs.
-    group("refutation_parallel_speedup");
-    let stress = sierra_bench::refutation_stress_app(13, 8);
-    let stress_harness = harness_gen::generate(stress);
-    let stress_analysis = pointer::analyze(&stress_harness, SelectorKind::ActionSensitive(1));
-    let stress_accesses = pointer::collect_accesses(
-        &stress_analysis,
-        &stress_harness.app.program,
-        Some(stress_harness.harness_class),
-    );
-    // Keep only the posted-runnable vs lifecycle write-write pairs:
-    // other combinations (guard-field reads, lifecycle-vs-lifecycle
-    // writes) resolve cheaply and would dilute the measurement.
-    let posted = |a: &Access| {
-        matches!(
-            stress_analysis.actions.action(a.action).kind,
-            android_model::ActionKind::RunnablePost
-        )
-    };
-    let stress_pairs = conflicting_pairs(&stress_accesses, |a, b| {
-        a.is_write && b.is_write && posted(a) != posted(b)
-    });
-    assert!(
-        stress_pairs.len() >= 8,
-        "stress app must produce one candidate per field, got {}",
-        stress_pairs.len()
-    );
-    let what = stress_harness.app.framework.message_what;
-    let refute_with = |jobs: usize| {
-        refute_candidates(
-            &stress_analysis,
-            &stress_harness.app.program,
-            what,
-            RefuterConfig::default(),
-            jobs,
-            &stress_pairs,
-            None,
-        )
-    };
-    let probe = refute_with(1);
-    assert!(
-        probe.stats.budget_exhausted == stress_pairs.len(),
-        "every stress query must exhaust the path budget ({} of {})",
-        probe.stats.budget_exhausted,
-        stress_pairs.len()
-    );
-    println!(
-        "stress fixture: {} candidate pairs, {} paths explored per serial run",
-        stress_pairs.len(),
-        probe.stats.paths
-    );
-    let t_jobs1 = time("refute_candidates_jobs_1", 10, || {
-        refute_with(1).outcomes.len()
-    });
-    let t_jobs4 = time("refute_candidates_jobs_4", 10, || {
-        refute_with(4).outcomes.len()
-    });
-    let speedup = t_jobs1.as_secs_f64() / t_jobs4.as_secs_f64();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("parallel refutation speedup at 4 jobs: {speedup:.2}x ({cores} core(s) available)");
-    if cores < 4 {
-        println!("note: fewer than 4 cores available; the 4-job run cannot realize its full speedup here");
-    }
 
     // Prefilter ablation: the stress app's GUI handlers carry pairs the
     // refuter can only resolve by exhausting its path budget, while the
@@ -510,10 +442,8 @@ fn main() {
     // iteration opens a *fresh* `DiskStore` instance over the populated
     // directory — its in-memory maps start empty, so the whole
     // points-to analysis must come back through the versioned artifact
-    // blob, exactly as a new OS process would see it. A shared-store
-    // corpus pass then shows framework-origin summaries computed once
-    // and served to every other app. The warm/cold ratio, the zero
-    // warm solver iterations, and the shared counter are the numbers
+    // blob, exactly as a new OS process would see it. The warm/cold
+    // ratio and the zero warm solver iterations are the numbers
     // `bench_gate` holds.
     group("artifact_reuse");
     let artifact_dir =
@@ -560,46 +490,6 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&artifact_dir);
 
-    // Shared-store corpus pass over the three size-class apps: private
-    // per-app stores, one shared framework layer. The first app
-    // populates the layer; every later app's framework-origin methods
-    // are served from it instead of being re-summarized.
-    let shared_pass = |layer: Option<&Arc<dyn SummaryStore>>| {
-        let mut shared_hits = 0usize;
-        let mut elapsed = Duration::ZERO;
-        for (_, corpus_app, _) in sierra_bench::size_classes() {
-            let per_app: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-            let mut builder = SessionBuilder::new(SierraConfig::default())
-                .app(corpus_app)
-                .store(per_app);
-            if let Some(layer) = layer {
-                builder = builder.shared_store(Arc::clone(layer));
-            }
-            let start = std::time::Instant::now();
-            let result = builder
-                .build()
-                .expect("size-class app is valid")
-                .finish()
-                .expect("pipeline runs");
-            elapsed += start.elapsed();
-            shared_hits += result.metrics.link.summaries_shared;
-        }
-        (shared_hits, elapsed)
-    };
-    let framework_layer: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-    let (summaries_shared_total, t_corpus_shared) = shared_pass(Some(&framework_layer));
-    let (_, t_corpus_unshared) = shared_pass(None);
-    assert!(
-        summaries_shared_total >= 1,
-        "later apps must be served framework summaries from the shared layer"
-    );
-    println!(
-        "shared-store corpus pass over {} apps: {} framework summaries served from the shared \
-         layer; {t_corpus_shared:.3?} shared vs {t_corpus_unshared:.3?} unshared",
-        sierra_bench::size_classes().len(),
-        summaries_shared_total,
-    );
-
     // Machine-readable record for the CI artifact, rendered through the
     // shared `Json` type (no serde in-tree).
     let us = |d: Duration| Json::Num(d.as_secs_f64() * 1e6);
@@ -627,16 +517,6 @@ fn main() {
                 ("closure_sccs", num(m.shbg.closure_sccs)),
                 ("refuter_paths", num(m.refuter.paths)),
                 ("refuter_queries", num(m.refuter.queries)),
-            ]),
-        ),
-        (
-            "refutation_parallel",
-            obj(vec![
-                ("candidate_pairs", num(stress_pairs.len())),
-                ("cores_available", num(cores)),
-                ("jobs1_mean_us", us(t_jobs1)),
-                ("jobs4_mean_us", us(t_jobs4)),
-                ("speedup", Json::Num(speedup)),
             ]),
         ),
         (
@@ -762,9 +642,6 @@ fn main() {
                     "artifact_warm_summaries_reused",
                     num(artifact_warm_link.summaries_reused),
                 ),
-                ("summaries_shared", num(summaries_shared_total)),
-                ("corpus_shared_us", us(t_corpus_shared)),
-                ("corpus_unshared_us", us(t_corpus_unshared)),
             ]),
         ),
         (
@@ -795,13 +672,10 @@ fn main() {
          arena symbols:       {}\n\
          arena bytes:         {}\n\
          \n\
-         artifact_reuse (NPR News, on-disk store; shared layer over the size classes)\n\
+         artifact_reuse (NPR News, on-disk store)\n\
          cold process:        {:.3} ms\n\
          warm process:        {:.3} ms\n\
-         warm solver iters:   {}\n\
-         summaries shared:    {summaries_shared_total}\n\
-         corpus shared pass:  {:.3} ms\n\
-         corpus unshared:     {:.3} ms\n",
+         warm solver iters:   {}\n",
         corpus_p50.as_secs_f64() * 1e3,
         corpus_p99.as_secs_f64() * 1e3,
         corpus_arena.len(),
@@ -809,8 +683,6 @@ fn main() {
         t_artifact_cold.as_secs_f64() * 1e3,
         t_artifact_warm.as_secs_f64() * 1e3,
         artifact_warm_link.pointer_iterations_run,
-        t_corpus_shared.as_secs_f64() * 1e3,
-        t_corpus_unshared.as_secs_f64() * 1e3,
     );
     std::fs::write("THROUGHPUT.txt", throughput).expect("write THROUGHPUT.txt");
     println!("wrote THROUGHPUT.txt");

@@ -77,8 +77,6 @@ pub struct AppRow {
     pub summaries_reused: usize,
     /// Per-method summaries recomputed this run.
     pub summaries_recomputed: usize,
-    /// Framework summaries served from the corpus-shared layer.
-    pub summaries_shared: usize,
     /// Whether the whole points-to `Analysis` was reused (in-memory
     /// hit or persisted artifact blob).
     pub analysis_reused: bool,
@@ -160,7 +158,6 @@ impl AppRow {
             t_histories: m.timings.histories,
             summaries_reused: m.link.summaries_reused,
             summaries_recomputed: m.link.summaries_recomputed,
-            summaries_shared: m.link.summaries_shared,
             analysis_reused: m.link.analysis_reused,
             cache_corrupt_misses: m.link.corrupt_misses,
             pa_worklist_iters: m.pointer.worklist_iterations,
@@ -217,26 +214,11 @@ pub fn sierra_groups(result: &SierraResult) -> Vec<(String, String)> {
 }
 
 /// The persistence layer of a corpus run: the summary/artifact store
-/// every app's session consults, plus (optionally) the corpus-wide
-/// shared layer for framework-origin summaries. The two are usually
-/// the same backing store — their key spaces are disjoint by
-/// fingerprint — but a run may also share across per-app stores.
+/// every app's session consults.
 #[derive(Clone)]
 pub struct CorpusCache {
-    /// Per-app summary + analysis-artifact store.
+    /// Summary + analysis-artifact store.
     pub store: Arc<dyn SummaryStore>,
-    /// Corpus-shared framework-summary layer, consulted before `store`
-    /// for framework-origin methods.
-    pub shared: Option<Arc<dyn SummaryStore>>,
-}
-
-impl CorpusCache {
-    /// A cache over one store; `shared` additionally promotes
-    /// framework summaries into the same store for corpus-wide reuse.
-    pub fn new(store: Arc<dyn SummaryStore>, shared: bool) -> Self {
-        let shared = shared.then(|| Arc::clone(&store));
-        Self { store, shared }
-    }
 }
 
 /// Runs the full pipeline on one app, routing the session through the
@@ -250,13 +232,9 @@ pub fn analyze_app_cached(
     let Some(cache) = cache else {
         return Sierra::with_config(sierra_cfg).analyze_app(app);
     };
-    let mut builder = SessionBuilder::new(sierra_cfg)
+    SessionBuilder::new(sierra_cfg)
         .app(app)
-        .store(Arc::clone(&cache.store));
-    if let Some(shared) = &cache.shared {
-        builder = builder.shared_store(Arc::clone(shared));
-    }
-    builder
+        .store(Arc::clone(&cache.store))
         .build()
         .and_then(|session| session.finish())
         .unwrap_or_else(|e| panic!("{e}"))
@@ -341,8 +319,7 @@ pub fn run_twenty_with(
 
 /// [`run_twenty_with`] against an optional persistence layer. Workers
 /// share the cache: a second pass over the same store reuses every
-/// unchanged summary and points-to artifact, and with a shared layer
-/// each framework-method summary is computed once corpus-wide.
+/// unchanged summary and points-to artifact.
 pub fn run_twenty_cached(
     sierra_cfg: SierraConfig,
     er_cfg: &EventRacerConfig,
@@ -419,8 +396,6 @@ pub struct CacheStats {
     pub summaries_reused: usize,
     /// Summaries recomputed (store miss or first sight).
     pub summaries_recomputed: usize,
-    /// Framework summaries served from the corpus-shared layer.
-    pub summaries_shared: usize,
     /// Corrupt cache entries treated as misses.
     pub corrupt_misses: usize,
 }
@@ -434,7 +409,6 @@ impl CacheStats {
             s.analyses_reused += usize::from(r.analysis_reused);
             s.summaries_reused += r.summaries_reused;
             s.summaries_recomputed += r.summaries_recomputed;
-            s.summaries_shared += r.summaries_shared;
             s.corrupt_misses += r.cache_corrupt_misses;
         }
         s
@@ -445,12 +419,11 @@ impl CacheStats {
     pub fn render(&self) -> String {
         format!(
             "cache: apps={} analyses_reused={} summaries_reused={} \
-             summaries_recomputed={} summaries_shared={} corrupt_misses={}",
+             summaries_recomputed={} corrupt_misses={}",
             self.apps,
             self.analyses_reused,
             self.summaries_reused,
             self.summaries_recomputed,
-            self.summaries_shared,
             self.corrupt_misses,
         )
     }
@@ -958,7 +931,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store: Arc<dyn SummaryStore> =
             Arc::new(sierra_core::DiskStore::new(&dir).expect("cache dir"));
-        let cache = CorpusCache::new(store, true);
+        let cache = CorpusCache { store };
         let cfg = SierraConfig::default();
         let er = EventRacerConfig::default();
         let run = |cache: Option<&CorpusCache>| {
@@ -994,30 +967,6 @@ mod tests {
             "{line}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_layer_serves_framework_summaries_across_apps() {
-        // One shared in-memory layer, two different apps with private
-        // per-app stores: the second app's framework-origin methods are
-        // all served from the layer the first app populated.
-        let shared: Arc<dyn SummaryStore> = Arc::new(sierra_core::MemoryStore::new());
-        let cfg = SierraConfig::default();
-        let er = EventRacerConfig::default();
-        let run = |app, truth: &GroundTruth| {
-            let cache = CorpusCache {
-                store: Arc::new(sierra_core::MemoryStore::new()),
-                shared: Some(Arc::clone(&shared)),
-            };
-            run_app_cached("app", app, truth, cfg, &er, Some(&cache))
-        };
-        let (app1, truth1) = corpus::figures::intra_component();
-        let first = run(app1, &truth1);
-        assert_eq!(first.summaries_shared, 0, "nothing to share yet");
-
-        let (app2, truth2) = corpus::figures::inter_component();
-        let second = run(app2, &truth2);
-        assert!(second.summaries_shared > 0, "framework summaries shared");
     }
 
     #[test]

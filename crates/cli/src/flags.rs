@@ -7,8 +7,6 @@
 //!                       | k-obj:K | hybrid:K          (default action:1)
 //! --budget <N>          refuter path budget             (default 5000)
 //! --jobs <N>            corpus worker threads; 0 = all cores   (default 0)
-//! --refute-jobs <N>     refutation worker threads per app;
-//!                       0 = all cores                   (default 1)
 //! --no-prefilter        disable the pre-refutation static pruning
 //!                       stage (escape/guard/constprop)
 //! --no-cycle-collapse   disable online cycle collapse in the pointer
@@ -34,13 +32,6 @@
 //!                       artifact blobs) at N megabytes, evicting
 //!                       oldest entries first (requires --cache-dir;
 //!                       0 or absent = unbounded)
-//! --shared-store        consult a corpus-shared layer for
-//!                       framework-method summaries before per-app
-//!                       stores, so the framework slice is summarized
-//!                       once per corpus/serve process
-//! --no-artifact-cache   do not persist or load whole-`Analysis`
-//!                       artifact blobs (ablation; summary files and
-//!                       in-memory artifact reuse are unaffected)
 //! --no-shared-intern    give every app/request its own private string
 //!                       interner instead of the process-wide shared
 //!                       symbol arena (ablation; reports are identical
@@ -65,9 +56,6 @@ pub struct CommonFlags {
     /// Intern names into one process-wide [`apir::SymbolArena`] shared
     /// across apps/requests (`true` unless `--no-shared-intern`).
     pub shared_intern: bool,
-    /// `--shared-store`: share framework-method summaries across all
-    /// apps/requests through a corpus-shared layer.
-    pub shared_store: bool,
     /// The pipeline configuration assembled from `--context`/`--budget`.
     pub config: SierraConfig,
 }
@@ -79,22 +67,19 @@ impl Default for CommonFlags {
             cache_dir: None,
             cache_max_mb: None,
             shared_intern: true,
-            shared_store: false,
             config: SierraConfig::default(),
         }
     }
 }
 
 impl CommonFlags {
-    /// Extracts `--context`, `--budget`, `--jobs`, `--refute-jobs`,
-    /// `--no-prefilter`, `--no-cycle-collapse`, `--worklist`,
-    /// `--opaque-policy`, `--no-overlap-compare`, `--no-histories`,
-    /// `--no-triage`,
-    /// `--min-harm`, `--cache-dir`, `--cache-max-mb`,
-    /// `--no-shared-intern`, `--shared-store`, and
-    /// `--no-artifact-cache` from `args`, removing
-    /// each recognized flag (and its value, if any). Unknown flags and
-    /// positionals are untouched.
+    /// Extracts `--context`, `--budget`, `--jobs`, `--no-prefilter`,
+    /// `--no-cycle-collapse`, `--worklist`, `--opaque-policy`,
+    /// `--no-overlap-compare`, `--no-histories`, `--no-triage`,
+    /// `--min-harm`, `--cache-dir`, `--cache-max-mb`, and
+    /// `--no-shared-intern` from `args`, removing each recognized flag
+    /// (and its value, if any). Unknown flags and positionals are
+    /// untouched.
     pub fn parse(args: &mut Vec<String>) -> Result<Self, String> {
         let mut builder = SierraConfig::builder();
         let mut jobs = 0usize;
@@ -107,10 +92,6 @@ impl CommonFlags {
             None => None,
         };
         let shared_intern = !take_switch(args, "--no-shared-intern");
-        let shared_store = take_switch(args, "--shared-store");
-        if take_switch(args, "--no-artifact-cache") {
-            builder = builder.no_artifact_cache(true);
-        }
         if let Some(spec) = take_flag(args, "--context")? {
             let selector = spec
                 .parse()
@@ -127,12 +108,6 @@ impl CommonFlags {
             jobs = v
                 .parse()
                 .map_err(|_| format!("invalid --jobs {v:?}: expected a count"))?;
-        }
-        if let Some(v) = take_flag(args, "--refute-jobs")? {
-            let refute_jobs = v
-                .parse()
-                .map_err(|_| format!("invalid --refute-jobs {v:?}: expected a count"))?;
-            builder = builder.refute_jobs(refute_jobs);
         }
         if take_switch(args, "--no-prefilter") {
             builder = builder.no_prefilter(true);
@@ -166,7 +141,6 @@ impl CommonFlags {
             cache_dir,
             cache_max_mb,
             shared_intern,
-            shared_store,
             config: builder.build(),
         })
     }
@@ -234,23 +208,13 @@ mod tests {
             "k-obj:2",
             "--budget",
             "100",
-            "--refute-jobs",
-            "8",
         ]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert_eq!(flags.jobs, 4);
         assert_eq!(flags.config.selector, SelectorKind::KObj(2));
         assert_eq!(flags.config.refuter.max_paths, 100);
-        assert_eq!(flags.config.refute_jobs, 8);
         // Subcommand flags survive.
         assert_eq!(args, argv(&["table5", "--apps", "10"]));
-    }
-
-    #[test]
-    fn refute_jobs_defaults_to_serial() {
-        let mut args = argv(&["table4"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert_eq!(flags.config.refute_jobs, 1);
     }
 
     #[test]
@@ -397,37 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_switch_is_consumed() {
-        let mut args = argv(&["table3", "--shared-store"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.shared_store);
-        assert_eq!(args, argv(&["table3"]));
-
-        let mut args = argv(&["table3"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.shared_store);
-        assert!(!CommonFlags::default().shared_store);
-    }
-
-    #[test]
-    fn no_artifact_cache_switch_is_consumed() {
-        let mut args = argv(&["analyze", "fig1", "--no-artifact-cache"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.no_artifact_cache);
-        assert_eq!(args, argv(&["analyze", "fig1"]));
-
-        let mut args = argv(&["analyze", "fig1"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.no_artifact_cache);
-    }
-
-    #[test]
     fn rejects_bad_values() {
         assert!(CommonFlags::parse(&mut argv(&["x", "--context", "bogus"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--jobs", "many"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--budget"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--refute-jobs", "-1"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--refute-jobs"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--worklist", "dfs"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--worklist"])).is_err());
     }

@@ -20,7 +20,6 @@
 //! --context <SPEC>     insensitive | action:K | k-cfa:K | k-obj:K | hybrid:K
 //! --budget <N>         refuter path budget
 //! --jobs <N>           corpus engine worker threads (0 = all cores)
-//! --refute-jobs <N>    per-app refutation worker threads (0 = all cores)
 //! --no-prefilter       disable pre-refutation static pruning
 //! --no-cycle-collapse  disable online cycle collapse in the pointer solver
 //! --worklist <POLICY>  pointer solver worklist: topo-lrf | fifo
@@ -35,10 +34,6 @@
 //!                      artifacts across runs
 //! --cache-max-mb <N>   cap the on-disk store (summaries + artifact blobs),
 //!                      evicting oldest first
-//! --shared-store       serve framework-origin summaries from a corpus-wide
-//!                      shared layer (computed once per framework fingerprint)
-//! --no-artifact-cache  summaries only: never persist or load whole
-//!                      points-to artifacts (ablation)
 //! --no-shared-intern   private per-app interners instead of the shared
 //!                      symbol arena (ablation)
 //! ```
@@ -53,11 +48,11 @@ use sierra_cli::flags::{take_raw_flag, CommonFlags};
 use sierra_core::Sierra;
 
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
-                     shared flags: --context <SPEC> --budget <N> --jobs <N> --refute-jobs <N> --no-prefilter\n\
+                     shared flags: --context <SPEC> --budget <N> --jobs <N> --no-prefilter\n\
                      \x20             --no-cycle-collapse --worklist <topo-lrf|fifo> --opaque-policy <ignore|resolve|havoc>\n\
                      \x20             --no-overlap-compare --no-histories --no-triage\n\
                      \x20             --min-harm <benign|value|use-before-init|null-deref>\n\
-                     \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store --no-artifact-cache\n\
+                     \x20             --cache-dir <PATH> --cache-max-mb <N>\n\
                      \x20             --no-shared-intern";
 
 fn main() {
@@ -70,13 +65,11 @@ fn main() {
         }
     };
     let cmd = args.first().cloned().unwrap_or_else(|| "help".to_owned());
-    // Any persistence flag turns the run's cache layer on: `--cache-dir`
-    // alone persists summaries + artifacts, `--shared-store` alone still
-    // shares framework summaries (in memory) within this corpus pass,
-    // and together the sharing persists across runs.
-    let cache = if common.cache_dir.is_some() || common.shared_store {
+    // `--cache-dir` turns the run's cache layer on: summaries and
+    // artifacts persist across runs.
+    let cache = if common.cache_dir.is_some() {
         match sierra_cli::serve::open_store(common.cache_dir.as_deref(), common.cache_max_mb) {
-            Ok(store) => Some(experiments::CorpusCache::new(store, common.shared_store)),
+            Ok(store) => Some(experiments::CorpusCache { store }),
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);

@@ -93,29 +93,16 @@ pub fn open_store(
 /// Runs the server until a `shutdown` request (or end of input).
 pub fn run(flags: &CommonFlags, socket: Option<String>) -> Result<(), String> {
     let store = open_store(flags.cache_dir.as_deref(), flags.cache_max_mb)?;
-    // `--shared-store` reuses the same backing store as the corpus-wide
-    // framework-summary layer: the key spaces are disjoint by
-    // fingerprint, and with `--cache-dir` the sharing then also
-    // persists across server restarts.
-    let shared = flags.shared_store.then(|| Arc::clone(&store));
     // One arena for the whole server lifetime: requests intern into it
     // concurrently and it only grows (append-only), so a long-lived
     // server stops allocating name strings once the vocabulary is warm.
     let arena = flags.shared_intern.then(|| Arc::new(SymbolArena::new()));
     match socket {
-        Some(path) => serve_socket(&path, flags.config, flags.jobs, store, shared, arena),
+        Some(path) => serve_socket(&path, flags.config, flags.jobs, store, arena),
         None => {
             let reader = BufReader::new(std::io::stdin());
             let writer: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-            serve_connection(
-                reader,
-                &writer,
-                flags.config,
-                flags.jobs,
-                store,
-                shared,
-                arena,
-            );
+            serve_connection(reader, &writer, flags.config, flags.jobs, store, arena);
             Ok(())
         }
     }
@@ -130,7 +117,6 @@ fn serve_socket(
     config: SierraConfig,
     jobs: usize,
     store: Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
     arena: Option<Arc<SymbolArena>>,
 ) -> Result<(), String> {
     let _ = std::fs::remove_file(path);
@@ -151,7 +137,6 @@ fn serve_socket(
             config,
             jobs,
             Arc::clone(&store),
-            shared.clone(),
             arena.clone(),
         ) {
             break;
@@ -167,7 +152,6 @@ fn serve_socket(
     _config: SierraConfig,
     _jobs: usize,
     _store: Arc<dyn SummaryStore>,
-    _shared: Option<Arc<dyn SummaryStore>>,
     _arena: Option<Arc<SymbolArena>>,
 ) -> Result<(), String> {
     Err("--socket requires a Unix platform; use stdin mode instead".to_owned())
@@ -182,7 +166,6 @@ fn serve_connection<R: BufRead>(
     config: SierraConfig,
     jobs: usize,
     store: Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
     arena: Option<Arc<SymbolArena>>,
 ) -> bool {
     let workers = effective_jobs(jobs, usize::MAX);
@@ -194,7 +177,6 @@ fn serve_connection<R: BufRead>(
             let rx = Arc::clone(&rx);
             let writer = Arc::clone(writer);
             let store = Arc::clone(&store);
-            let shared = shared.clone();
             let arena = arena.clone();
             scope.spawn(move || loop {
                 // Receive under the lock, release before analyzing so the
@@ -204,9 +186,7 @@ fn serve_connection<R: BufRead>(
                     guard.recv()
                 };
                 match next {
-                    Ok(req) => {
-                        handle_request(req, config, &store, shared.clone(), arena.clone(), &writer)
-                    }
+                    Ok(req) => handle_request(req, config, &store, arena.clone(), &writer),
                     Err(_) => break, // sender dropped: input finished
                 }
             });
@@ -273,11 +253,10 @@ fn handle_request(
     req: Request,
     config: SierraConfig,
     store: &Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
     arena: Option<Arc<SymbolArena>>,
     out: &SharedWriter,
 ) {
-    if let Err(e) = analyze(&req, config, store, shared, arena, out) {
+    if let Err(e) = analyze(&req, config, store, arena, out) {
         emit(out, error_event(req.id, &e.to_string()));
     }
 }
@@ -288,16 +267,12 @@ fn analyze(
     req: &Request,
     config: SierraConfig,
     store: &Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
     arena: Option<Arc<SymbolArena>>,
     out: &SharedWriter,
 ) -> Result<(), sierra_core::SessionError> {
     let mut builder = SessionBuilder::new(config)
         .source(req.name.clone(), req.text.clone())
         .store(Arc::clone(store));
-    if let Some(shared) = shared {
-        builder = builder.shared_store(shared);
-    }
     if let Some(arena) = arena {
         builder = builder.arena(arena);
     }
@@ -317,7 +292,6 @@ fn analyze(
                 ("cg_edges", num(m.pointer.cg_edges)),
                 ("summaries_reused", num(m.link.summaries_reused)),
                 ("summaries_recomputed", num(m.link.summaries_recomputed)),
-                ("summaries_shared", num(m.link.summaries_shared)),
                 ("analysis_reused", Json::Bool(m.link.analysis_reused)),
             ],
         )
@@ -371,7 +345,6 @@ fn analyze(
             ("races", num(result.races.len())),
             ("summaries_reused", num(link.summaries_reused)),
             ("summaries_recomputed", num(link.summaries_recomputed)),
-            ("summaries_shared", num(link.summaries_shared)),
             ("analysis_reused", Json::Bool(link.analysis_reused)),
         ]),
     );
@@ -447,14 +420,6 @@ mod tests {
     }
 
     fn drive(input: &str, store: Arc<dyn SummaryStore>) -> (bool, Vec<Json>) {
-        drive_shared(input, store, None)
-    }
-
-    fn drive_shared(
-        input: &str,
-        store: Arc<dyn SummaryStore>,
-        shared: Option<Arc<dyn SummaryStore>>,
-    ) -> (bool, Vec<Json>) {
         let buffer = Arc::new(Mutex::new(Vec::new()));
         let writer: SharedWriter = Arc::new(Mutex::new(Box::new(Shared(Arc::clone(&buffer)))));
         let shutdown = serve_connection(
@@ -463,7 +428,6 @@ mod tests {
             SierraConfig::default(),
             1,
             store,
-            shared,
             Some(Arc::new(SymbolArena::new())),
         );
         let bytes = buffer.lock().expect("buffer lock").clone();
@@ -569,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_serves_framework_summaries_across_different_apps() {
+    fn one_store_serves_different_apps_without_mixing_their_summaries() {
         const FIG2: &str = include_str!("../../../fixtures/fig2_inter_component.sierra");
         let fig2_request = obj(vec![
             ("id", num(2)),
@@ -585,21 +549,24 @@ mod tests {
             r#"{"op":"shutdown"}"#
         );
 
-        // One backing store doubling as the shared layer, as `--shared-store`
-        // wires it. The apps are different, so per-app summary keys are
-        // disjoint — only the framework layer can carry hits across them.
+        // One store serves both requests. The apps are different, so
+        // their structural fingerprints, and with them every summary
+        // key, are disjoint: the second app reuses nothing of the first.
         let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-        let (_, events) = drive_shared(&input, Arc::clone(&store), Some(Arc::clone(&store)));
+        let (_, events) = drive(&input, Arc::clone(&store));
         let done2 = events_for(&events, 2, "done")[0];
-        let shared_hits = done2
-            .get("summaries_shared")
-            .and_then(Json::as_u64)
-            .expect("counter present");
-        assert!(shared_hits >= 1, "framework summaries must cross apps");
+        assert_eq!(
+            done2.get("summaries_reused").and_then(Json::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            done2.get("analysis_reused").and_then(Json::as_bool),
+            Some(false)
+        );
 
-        // Sharing changes work done, never results: the same request
-        // without any sharing reports identically (modulo run-dependent
-        // groups).
+        // A store another app primed changes no result: the same
+        // request on a fresh store reports identically (modulo
+        // run-dependent groups).
         let (_, baseline) = drive(
             &format!("{fig2_request}\n"),
             Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>,

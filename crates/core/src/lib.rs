@@ -57,8 +57,8 @@ pub use session::{
 };
 pub use soundness::SoundnessStats;
 pub use summary::{
-    config_fingerprint, framework_fingerprint, structural_fingerprint, summary_key, DiskStore,
-    MemoryStore, MethodSummary, SummaryStore,
+    config_fingerprint, structural_fingerprint, summary_key, DiskStore, MemoryStore, MethodSummary,
+    SummaryStore,
 };
 pub use triage::{Harm, TriageStats, TriageVerdict, Witness};
 

@@ -34,10 +34,6 @@ pub struct LinkStats {
     pub summaries_reused: usize,
     /// Summaries recomputed (changed or first-seen methods).
     pub summaries_recomputed: usize,
-    /// Summaries served from the corpus-shared framework layer (see
-    /// [`crate::summary::load_or_summarize`]); disjoint from
-    /// `summaries_reused`, which counts only per-app store hits.
-    pub summaries_shared: usize,
     /// Whether the whole points-to `Analysis` artifact was reused.
     pub analysis_reused: bool,
     /// Solver worklist iterations actually run this session (zero on an

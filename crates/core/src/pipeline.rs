@@ -42,10 +42,6 @@ pub struct SierraConfig {
     /// and constant-branch analyses), restoring the old
     /// `candidates → refute` pipeline for A/B measurement.
     pub no_prefilter: bool,
-    /// Worker threads for the refutation stage (`0` = all cores,
-    /// default `1` = serial). Verdicts are thread-count-independent:
-    /// any value produces byte-identical race reports.
-    pub refute_jobs: usize,
     /// Pointer-analysis options for the main pass (cycle collapse,
     /// worklist policy, index sensitivity). The comparison pass inherits
     /// them, so an ablation flips both runs together.
@@ -69,11 +65,6 @@ pub struct SierraConfig {
     /// `None` keeps everything. Ignored under `no_triage`, which never
     /// classifies.
     pub min_harm: Option<triage::Harm>,
-    /// Disable persisting/loading serialized `Analysis` artifact blobs
-    /// (the `--no-artifact-cache` ablation). In-memory artifact reuse
-    /// and summary files are unaffected. Cache plumbing never enters
-    /// the config fingerprint, so flipping this cannot change keys.
-    pub no_artifact_cache: bool,
 }
 
 impl Default for SierraConfig {
@@ -84,13 +75,11 @@ impl Default for SierraConfig {
             compare_without_as: true,
             skip_refutation: false,
             no_prefilter: false,
-            refute_jobs: 1,
             pointer_options: AnalysisOptions::default(),
             overlap_compare: true,
             no_triage: false,
             no_histories: false,
             min_harm: None,
-            no_artifact_cache: false,
         }
     }
 }
@@ -145,12 +134,6 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Sets the refutation worker-pool size (`0` = all cores).
-    pub fn refute_jobs(mut self, jobs: usize) -> Self {
-        self.cfg.refute_jobs = jobs;
-        self
-    }
-
     /// Replaces the pointer-analysis options wholesale.
     pub fn pointer_options(mut self, options: AnalysisOptions) -> Self {
         self.cfg.pointer_options = options;
@@ -199,13 +182,6 @@ impl SierraConfigBuilder {
     /// Drops reports triaged below `level` (no-op under `no_triage`).
     pub fn min_harm(mut self, level: triage::Harm) -> Self {
         self.cfg.min_harm = Some(level);
-        self
-    }
-
-    /// Disables (or re-enables) durable `Analysis` artifact blobs (the
-    /// `--no-artifact-cache` ablation).
-    pub fn no_artifact_cache(mut self, yes: bool) -> Self {
-        self.cfg.no_artifact_cache = yes;
         self
     }
 
@@ -264,9 +240,6 @@ pub struct StageMetrics {
     /// reachable-callback recall (computed after the pointer stage
     /// regardless of policy; only *rendered* under `resolve`/`havoc`).
     pub soundness: SoundnessStats,
-    /// Worker threads the refutation stage actually used (`0` when the
-    /// stage was skipped).
-    pub refute_jobs_used: usize,
     /// Whether the comparison pass ran concurrently with refutation.
     pub compare_overlapped: bool,
     /// Wall-clock time the overlap hid: the smaller of the comparison

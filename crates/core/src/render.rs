@@ -194,14 +194,13 @@ impl Report {
         let rf = &self.metrics.refuter;
         let _ = writeln!(
             out,
-            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted, {} cache hits, {} worker(s))",
+            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted, {} cache hits)",
             rf.paths,
             rf.queries,
             rf.refuted,
             rf.witnessed,
             rf.budget_exhausted,
-            rf.cache_hits,
-            self.metrics.refute_jobs_used
+            rf.cache_hits
         );
         // Only emitted when the stage ran, so `--no-histories` output
         // stays byte-identical to the histories-free pipeline.
@@ -357,7 +356,6 @@ impl Report {
                     ("witnessed", num(rf.witnessed)),
                     ("budget_exhausted", num(rf.budget_exhausted)),
                     ("cache_hits", num(rf.cache_hits)),
-                    ("workers", num(self.metrics.refute_jobs_used)),
                 ]),
             ),
             (

@@ -31,7 +31,6 @@
 //! Each stage records its wall-clock time and work counters into
 //! [`StageMetrics`].
 
-use crate::engine::{effective_jobs, run_jobs};
 use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, SierraResult, StageMetrics};
 use crate::report::{priority_of, RaceReport};
@@ -171,7 +170,6 @@ enum SessionInput {
 pub struct SessionBuilder {
     config: SierraConfig,
     store: Option<Arc<dyn SummaryStore>>,
-    shared: Option<Arc<dyn SummaryStore>>,
     input: Option<SessionInput>,
     arena: Option<Arc<apir::SymbolArena>>,
 }
@@ -182,7 +180,6 @@ impl SessionBuilder {
         Self {
             config,
             store: None,
-            shared: None,
             input: None,
             arena: None,
         }
@@ -213,16 +210,6 @@ impl SessionBuilder {
     /// this the session gets a private in-memory store.
     pub fn store(mut self, store: Arc<dyn SummaryStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Consults (and feeds) a corpus-shared store for framework-origin
-    /// method summaries, ahead of the per-app store (see
-    /// [`crate::summary::load_or_summarize`]). The shared store may be
-    /// the same object as the per-app store: the key spaces are
-    /// disjoint by fingerprint.
-    pub fn shared_store(mut self, shared: Arc<dyn SummaryStore>) -> Self {
-        self.shared = Some(shared);
         self
     }
 
@@ -271,7 +258,6 @@ impl SessionBuilder {
             started: Instant::now(),
             metrics: StageMetrics::default(),
             store,
-            shared: self.shared,
             app,
             harness,
             linked: None,
@@ -296,8 +282,6 @@ pub struct AnalysisSession {
     started: Instant,
     metrics: StageMetrics,
     store: Arc<dyn SummaryStore>,
-    /// Corpus-shared framework-summary layer, when configured.
-    shared: Option<Arc<dyn SummaryStore>>,
     /// Present until the harness stage consumes it (absent for
     /// harness-input sessions).
     app: Option<AndroidApp>,
@@ -332,15 +316,6 @@ impl AnalysisSession {
             .app(app)
             .build()
             .expect("app input is always valid")
-    }
-
-    /// Starts a session over an already-generated harness.
-    #[deprecated(note = "use SessionBuilder::new(config).harness(h).build()")]
-    pub fn from_harness(config: SierraConfig, harness: Arc<HarnessResult>) -> Self {
-        SessionBuilder::new(config)
-            .harness(harness)
-            .build()
-            .expect("harness input is always valid")
     }
 
     /// The configuration the session runs with.
@@ -387,14 +362,13 @@ impl AnalysisSession {
             let config_fp = config_fingerprint(self.config.selector, self.config.pointer_options);
             let (corrupt_before, evicted_before) =
                 (self.store.corrupt_misses(), self.store.evictions());
-            let (methods, reused, recomputed, shared_hits) = load_or_summarize(
+            let (methods, reused, recomputed) = load_or_summarize(
                 program,
                 &harness.app.framework,
                 self.config.pointer_options.index_sensitive,
                 structural_fp,
                 config_fp,
                 self.store.as_ref(),
-                self.shared.as_deref(),
             );
             let linked = LinkedSummaries {
                 methods,
@@ -403,11 +377,10 @@ impl AnalysisSession {
             };
             self.metrics.link.summaries_reused = reused;
             self.metrics.link.summaries_recomputed = recomputed;
-            self.metrics.link.summaries_shared = shared_hits;
             self.metrics.last_stage = Some(Stage::Link);
 
             let analysis_key = linked.analysis_key();
-            let use_blobs = !self.config.no_artifact_cache && self.store.persists_artifacts();
+            let use_blobs = self.store.persists_artifacts();
             let mut from_blob = false;
             let cached = self.store.get_analysis(analysis_key).or_else(|| {
                 // Cold-process path: rehydrate the artifact blob the
@@ -621,11 +594,10 @@ impl AnalysisSession {
             };
             let t = Instant::now();
             let program = &harness.app.program;
-            let (outcomes, refuter_stats, jobs_used) = if self.config.skip_refutation {
+            let (outcomes, refuter_stats) = if self.config.skip_refutation {
                 (
                     vec![Outcome::Budget; candidates.len()],
                     RefuterStats::default(),
-                    0,
                 )
             } else {
                 let run = refute_candidates(
@@ -633,11 +605,10 @@ impl AnalysisSession {
                     program,
                     harness.app.framework.message_what,
                     self.config.refuter,
-                    self.config.refute_jobs,
                     candidates,
                     Some(infeasible),
                 );
-                (run.outcomes, run.stats, run.jobs_used)
+                (run.outcomes, run.stats)
             };
             let mut races: Vec<RaceReport> = Vec::new();
             for ((a, b), outcome) in candidates.iter().zip(outcomes) {
@@ -659,7 +630,6 @@ impl AnalysisSession {
             }
             races.sort_by_key(|r| r.rank_key());
             self.metrics.refuter = refuter_stats;
-            self.metrics.refute_jobs_used = jobs_used;
             self.metrics.timings.refutation = t.elapsed();
             self.metrics.last_stage = Some(Stage::Refute);
             self.races = Some(races);
@@ -798,15 +768,15 @@ impl AnalysisSession {
         });
         let run_compare = |cfg: SierraConfig,
                            harness: Arc<HarnessResult>,
-                           store: Arc<dyn SummaryStore>,
-                           shared: Option<Arc<dyn SummaryStore>>|
+                           store: Arc<dyn SummaryStore>|
          -> Result<(usize, Duration), SessionError> {
             let t = Instant::now();
-            let mut builder = SessionBuilder::new(cfg).harness(harness).store(store);
-            if let Some(shared) = shared {
-                builder = builder.shared_store(shared);
-            }
-            let count = builder.build()?.candidates()?.len();
+            let count = SessionBuilder::new(cfg)
+                .harness(harness)
+                .store(store)
+                .build()?
+                .candidates()?
+                .len();
             Ok((count, t.elapsed()))
         };
 
@@ -814,12 +784,10 @@ impl AnalysisSession {
         let (racy_pairs_without_as, compare_elapsed) = match compare_cfg {
             Some(cfg) if self.config.overlap_compare && !self.config.skip_refutation => {
                 compare_overlapped = true;
-                let shared = Arc::clone(&harness);
-                let shared_store = Arc::clone(&self.store);
-                let shared_layer = self.shared.clone();
+                let harness = Arc::clone(&harness);
+                let store = Arc::clone(&self.store);
                 std::thread::scope(|scope| {
-                    let compare =
-                        scope.spawn(move || run_compare(cfg, shared, shared_store, shared_layer));
+                    let compare = scope.spawn(move || run_compare(cfg, harness, store));
                     let refuted = self.refute().map(|_| ());
                     let compared = compare
                         .join()
@@ -827,12 +795,7 @@ impl AnalysisSession {
                     refuted.and(compared)
                 })?
             }
-            Some(cfg) => run_compare(
-                cfg,
-                Arc::clone(&harness),
-                Arc::clone(&self.store),
-                self.shared.clone(),
-            )?,
+            Some(cfg) => run_compare(cfg, Arc::clone(&harness), Arc::clone(&self.store))?,
             None => (0, Duration::ZERO),
         };
         self.refute()?;
@@ -886,11 +849,11 @@ impl AnalysisSession {
     }
 }
 
-/// Fixed batch size of the batch-synchronous refutation cache protocol.
-/// Deliberately independent of the worker count: every pair in a batch
-/// sees exactly the refuted-methods cache as of the batch start, so the
-/// batching (and therefore every verdict) is identical at any
-/// `refute_jobs` setting.
+/// Batch size of the refutation cache protocol. Every pair in a batch
+/// sees the refuted-methods cache as of the batch start; the cache
+/// grows only between batches. The size is part of the verdicts — a
+/// different size changes which pairs see which cache state — so it is
+/// fixed, and the pinned reference digests depend on it.
 const REFUTE_BATCH: usize = 16;
 
 /// The result of a standalone refutation run over a candidate list.
@@ -900,79 +863,46 @@ pub struct RefutationRun {
     pub outcomes: Vec<Outcome>,
     /// Aggregated refuter counters (summed in input order).
     pub stats: RefuterStats,
-    /// Worker threads the run resolved to.
-    pub jobs_used: usize,
 }
 
-/// Refutes a candidate-pair list on a pool of `jobs` worker threads
-/// (`0` = all cores), preserving the paper's §5 refuted-node caching
-/// across batches.
+/// Refutes a candidate-pair list one pair after another, preserving the
+/// paper's §5 refuted-node caching across batches.
 ///
-/// Refutation is embarrassingly parallel per pair *except* for the
-/// cache, whose state changes verdict-relevant pruning. To stay
-/// thread-count-independent the pairs are processed in fixed-size
-/// batches: each pair runs on a [`Refuter::fork`] that snapshots the
-/// cache at batch start, and the forks' newly-refuted method sets are
-/// merged (an order-independent set union) only between batches. The
-/// serial path runs the identical batched algorithm, so
-/// `jobs = 1` and `jobs = N` produce byte-identical verdicts and
-/// stats — the same determinism contract as the corpus engine.
+/// Each pair runs on a [`Refuter::fork`] that snapshots the cache at
+/// the start of its batch of [`REFUTE_BATCH`] pairs; the forks'
+/// newly-refuted method sets are merged (a set union) only at the end
+/// of the batch, so a pair's verdict never depends on a pair of its own
+/// batch.
 pub fn refute_candidates(
     analysis: &Analysis,
     program: &Program,
     message_what: FieldId,
     config: RefuterConfig,
-    jobs: usize,
     candidates: &[(Access, Access)],
     infeasible: Option<Arc<InfeasibleEdges>>,
 ) -> RefutationRun {
-    let jobs = effective_jobs(jobs, candidates.len());
     let mut base = Refuter::new(analysis, program, config).with_message_model(message_what);
     if let Some(edges) = infeasible {
         base = base.with_infeasible_edges(edges);
     }
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(candidates.len());
     for batch in candidates.chunks(REFUTE_BATCH) {
-        if jobs == 1 {
-            // No thread-pool overhead, but the same fork-per-pair,
-            // merge-at-batch-end protocol as the parallel path.
-            let finished: Vec<(Outcome, Refuter)> = batch
-                .iter()
-                .map(|(a, b)| {
-                    let mut worker = base.fork();
-                    let outcome = worker.refute_pair(a, b);
-                    (outcome, worker)
-                })
-                .collect();
-            for (outcome, worker) in finished {
-                outcomes.push(outcome);
-                base.merge_from(worker);
-            }
-        } else {
-            let items: Vec<(String, &(Access, Access))> = batch
-                .iter()
-                .enumerate()
-                .map(|(i, pair)| (format!("pair-{}", outcomes.len() + i), pair))
-                .collect();
-            let rows = run_jobs(jobs, items, |_, (a, b)| {
+        let finished: Vec<(Outcome, Refuter)> = batch
+            .iter()
+            .map(|(a, b)| {
                 let mut worker = base.fork();
                 let outcome = worker.refute_pair(a, b);
                 (outcome, worker)
-            });
-            for row in rows {
-                // A panic inside a pair's query is a pipeline bug; keep
-                // the pre-parallel behaviour of propagating it so the
-                // corpus engine records the whole app as a failed row.
-                let (outcome, worker) = row.unwrap_or_else(|e| panic!("{e}"));
-                outcomes.push(outcome);
-                base.merge_from(worker);
-            }
+            })
+            .collect();
+        for (outcome, worker) in finished {
+            outcomes.push(outcome);
+            base.merge_from(worker);
         }
     }
     RefutationRun {
         outcomes,
         stats: base.stats,
-        jobs_used: jobs,
     }
 }
 

@@ -36,24 +36,6 @@
 //! analyze`, a restarted `serve`, or a fresh CI job warm-starts from
 //! `--cache-dir` exactly like an in-memory warm hit.
 //!
-//! ## Corpus-shared framework summaries
-//!
-//! Most corpus apps embed the *same* framework model, and a framework
-//! method's summary depends only on framework content — yet the
-//! standard key covers the whole program's structural fingerprint, so
-//! per-app stores recompute identical framework summaries once per app.
-//! [`load_or_summarize`] therefore accepts an optional **shared store**:
-//! methods of [`apir::Origin::Framework`] classes are additionally
-//! keyed by [`framework_fingerprint`] (the structural fingerprint
-//! restricted to framework entities, identical across apps built from
-//! one framework model) and looked up shared-first. A miss promotes the
-//! freshly computed summary into the shared store, so the framework
-//! slice of an entire corpus is summarized exactly once. The two key
-//! spaces cannot collide semantically — a framework-keyed entry is only
-//! ever looked up by sessions whose framework slice hashes identically
-//! — so one backing store may safely serve as both the per-app and the
-//! shared layer (how the `--shared-store` flag wires it).
-//!
 //! ## Arena-stable keys
 //!
 //! Sessions are built through [`crate::SessionBuilder`], which may
@@ -66,7 +48,7 @@
 //! one — and hits across processes whose arenas interned names in
 //! different orders.
 
-use apir::{BlockId, FieldId, Local, MethodId, Origin, Program, ProgramPrinter, StmtAddr};
+use apir::{BlockId, FieldId, Local, MethodId, Program, ProgramPrinter, StmtAddr};
 use pointer::{
     extract_pointer_facts, fnv64, method_access_sites, pointer_digest, AccessSite, Analysis,
     AnalysisOptions, Fnv64, SelectorKind,
@@ -75,7 +57,7 @@ use prefilter::constprop::{self, ConstFacts};
 use shbg::CallDominance;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Every per-method fact the pipeline's stages need, cached by content
@@ -144,70 +126,6 @@ pub fn structural_fingerprint(program: &Program) -> u64 {
         );
     }
     for m in program.methods() {
-        h.write(
-            format!(
-                "m{}:{}.{};p={};ret={:?};st={};abs={};",
-                m.id.0,
-                m.class.0,
-                program.name(m.name),
-                m.param_count,
-                m.ret,
-                m.is_static,
-                m.is_abstract
-            )
-            .as_bytes(),
-        );
-    }
-    h.finish()
-}
-
-/// [`structural_fingerprint`] restricted to framework entities: classes
-/// of [`Origin::Framework`] plus the fields and methods they declare,
-/// rendered in the same per-entity format. Apps built from the same
-/// framework model produce the same value regardless of their app/
-/// library code (the framework installs first, so its ids are stable
-/// across apps), which makes it the key prefix for the corpus-shared
-/// summary layer: a framework method's summary keyed by this
-/// fingerprint is valid for *every* app sharing the framework slice.
-pub fn framework_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    for c in program.classes() {
-        if c.origin != Origin::Framework {
-            continue;
-        }
-        h.write(
-            format!(
-                "c{}:{};super={:?};if={:?};int={};origin={:?};",
-                c.id.0,
-                program.name(c.name),
-                c.super_class,
-                c.interfaces,
-                c.is_interface,
-                c.origin
-            )
-            .as_bytes(),
-        );
-    }
-    for f in program.fields() {
-        if program.class(f.class).origin != Origin::Framework {
-            continue;
-        }
-        h.write(
-            format!(
-                "f{}:{}.{};ty={:?};st={};",
-                f.id.0,
-                f.class.0,
-                program.name(f.name),
-                f.ty,
-                f.is_static
-            )
-            .as_bytes(),
-        );
-    }
-    for m in program.methods() {
-        if program.class(m.class).origin != Origin::Framework {
-            continue;
-        }
         h.write(
             format!(
                 "m{}:{}.{};p={};ret={:?};st={};abs={};",
@@ -360,6 +278,8 @@ pub struct DiskStore {
     corrupt: AtomicUsize,
     evicted: AtomicUsize,
     logged: Mutex<HashSet<PathBuf>>,
+    /// Sequence number of the next temp file this store writes.
+    writes: AtomicU64,
 }
 
 /// Version header of the on-disk summary format; bump on layout change
@@ -378,6 +298,7 @@ impl DiskStore {
             corrupt: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
             logged: Mutex::new(HashSet::new()),
+            writes: AtomicU64::new(0),
         })
     }
 
@@ -398,6 +319,21 @@ impl DiskStore {
 
     fn artifact_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.art"))
+    }
+
+    /// Writes `bytes` to a temp file unique to this write (process id
+    /// plus a per-store sequence number), then renames it onto `path`.
+    /// Concurrent readers never see a torn file, and two writers of one
+    /// key — in this process or another — never share a temp file, so
+    /// neither can truncate what the other is about to rename.
+    fn write_atomically(&self, key: u64, path: &std::path::Path, bytes: &[u8]) {
+        let seq = self.writes.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!("{key:016x}.{}-{seq}.tmp", std::process::id()));
+        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, path).is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
     }
 
     /// Records a corrupt file and logs its path the first time.
@@ -463,12 +399,7 @@ impl SummaryStore for DiskStore {
     }
 
     fn put(&self, key: u64, summary: Arc<MethodSummary>) {
-        let path = self.path(key);
-        let tmp = self.dir.join(format!("{key:016x}.tmp"));
-        // Write-then-rename so concurrent readers never see a torn file.
-        if std::fs::write(&tmp, render_summary(&summary)).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+        self.write_atomically(key, &self.path(key), render_summary(&summary).as_bytes());
         self.enforce_cap();
     }
 
@@ -495,12 +426,7 @@ impl SummaryStore for DiskStore {
     }
 
     fn put_artifact(&self, key: u64, blob: &[u8]) {
-        let path = self.artifact_path(key);
-        let tmp = self.dir.join(format!("{key:016x}.art.tmp"));
-        // Write-then-rename so concurrent readers never see a torn blob.
-        if std::fs::write(&tmp, blob).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+        self.write_atomically(key, &self.artifact_path(key), blob);
         self.enforce_cap();
     }
 
@@ -605,15 +531,8 @@ fn parse_summary(text: &str) -> Option<MethodSummary> {
 }
 
 /// Computes (or retrieves) summaries for every method with a body, in
-/// method-id order, consulting `store` by content key — and, for
-/// framework-origin methods, `shared` first under the framework-scoped
-/// key (see [`framework_fingerprint`]). A shared miss that resolves
-/// elsewhere promotes the summary into the shared store, so across a
-/// corpus each framework method is summarized exactly once. Returns the
-/// summary list plus `(reused, recomputed, shared_hits)` counts;
-/// shared-layer hits count toward `shared_hits` only, keeping `reused`
-/// comparable with and without a shared store.
-#[allow(clippy::type_complexity)]
+/// method-id order, consulting `store` by content key. Returns the
+/// summary list plus `(reused, recomputed)` counts.
 pub fn load_or_summarize(
     program: &Program,
     fw: &android_model::FrameworkClasses,
@@ -621,33 +540,15 @@ pub fn load_or_summarize(
     structural_fp: u64,
     config_fp: u64,
     store: &dyn SummaryStore,
-    shared: Option<&dyn SummaryStore>,
-) -> (Vec<(MethodId, Arc<MethodSummary>)>, usize, usize, usize) {
+) -> (Vec<(MethodId, Arc<MethodSummary>)>, usize, usize) {
     let printer = ProgramPrinter::new(program);
-    let framework_fp = shared.map(|_| framework_fingerprint(program));
     let mut methods = Vec::new();
-    let (mut reused, mut recomputed, mut shared_hits) = (0, 0, 0);
+    let (mut reused, mut recomputed) = (0, 0);
     for m in program.methods() {
         if !m.has_body() {
             continue;
         }
-        let body = printer.print_method(m.id);
-        let key = summary_key(structural_fp, &body, config_fp);
-        // Framework methods additionally live in the shared layer under
-        // a key independent of this app's app/library code.
-        let shared_key = match (shared, framework_fp) {
-            (Some(_), Some(fp)) if program.class(m.class).origin == Origin::Framework => {
-                Some(summary_key(fp, &body, config_fp))
-            }
-            _ => None,
-        };
-        if let (Some(sh), Some(sk)) = (shared, shared_key) {
-            if let Some(s) = sh.get(sk) {
-                shared_hits += 1;
-                methods.push((m.id, s));
-                continue;
-            }
-        }
+        let key = summary_key(structural_fp, &printer.print_method(m.id), config_fp);
         let summary = match store.get(key) {
             Some(s) => {
                 reused += 1;
@@ -660,12 +561,9 @@ pub fn load_or_summarize(
                 s
             }
         };
-        if let (Some(sh), Some(sk)) = (shared, shared_key) {
-            sh.put(sk, Arc::clone(&summary));
-        }
         methods.push((m.id, summary));
     }
-    (methods, reused, recomputed, shared_hits)
+    (methods, reused, recomputed)
 }
 
 #[cfg(test)]
@@ -753,6 +651,35 @@ mod tests {
         store.put(7, Arc::clone(&s));
         assert_eq!(store.get(7).as_deref(), Some(&*s));
         assert_eq!(store.corrupt_misses(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_never_expose_a_corrupt_entry() {
+        let dir = std::env::temp_dir().join(format!("sierra-race-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::new(&dir).expect("store dir");
+        let s = Arc::new(sample_summary());
+        let blob = artifact_blob(&[0x5au8; 4096]);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        store.put(1, Arc::clone(&s));
+                        assert_eq!(store.get(1).as_deref(), Some(&*s));
+                        store.put_artifact(2, &blob);
+                        assert_eq!(store.get_artifact(2).as_deref(), Some(&blob[..]));
+                    }
+                });
+            }
+        });
+        assert_eq!(store.corrupt_misses(), 0);
+        let leftovers = std::fs::read_dir(&dir)
+            .expect("store dir")
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "every temp file was renamed into place");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

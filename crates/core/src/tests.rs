@@ -213,10 +213,11 @@ fn display_and_dot_outputs_are_complete() {
 }
 
 #[test]
-fn refutation_verdicts_are_thread_count_independent() {
-    // §5 caching is batch-synchronous, so the refuter must produce
-    // byte-identical reports for any worker count. NPR News yields
-    // enough candidate pairs to span more than one cache batch.
+fn refutation_verdicts_are_identical_run_to_run() {
+    // §5 caching is batch-synchronous, so two runs must produce
+    // byte-identical reports and refuter counters, ranked in order. NPR
+    // News yields enough candidate pairs to span more than one cache
+    // batch.
     let spec = *corpus::TWENTY
         .iter()
         .find(|s| s.name == "NPR News")
@@ -227,13 +228,11 @@ fn refutation_verdicts_are_thread_count_independent() {
         figures::open_sudoku_guard().0,
         corpus::twenty::build_app(spec).0,
     ];
+    let mut max_queries = 0;
     for app in apps {
-        let serial = Sierra::with_config(SierraConfig::builder().refute_jobs(1).build())
-            .analyze_app(app.clone());
-        let parallel =
-            Sierra::with_config(SierraConfig::builder().refute_jobs(8).build()).analyze_app(app);
-        assert_eq!(serial.metrics.refute_jobs_used, 1);
-        let p = &serial.harness.app.program;
+        let first = Sierra::new().analyze_app(app.clone());
+        let second = Sierra::new().analyze_app(app);
+        let p = &first.harness.app.program;
         let describe = |r: &crate::SierraResult| {
             r.races
                 .iter()
@@ -248,34 +247,41 @@ fn refutation_verdicts_are_thread_count_independent() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(
-            describe(&serial),
-            describe(&parallel),
-            "{}: reports must not depend on --refute-jobs",
-            serial.app_name
+            describe(&first),
+            describe(&second),
+            "{}: reports must not vary run to run",
+            first.app_name
         );
-        let s = &serial.metrics.refuter;
-        let par = &parallel.metrics.refuter;
+        let keys: Vec<_> = first.races.iter().map(|r| r.rank_key()).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "{}: races must be emitted in rank order",
+            first.app_name
+        );
+        let (a, b) = (&first.metrics.refuter, &second.metrics.refuter);
         assert_eq!(
             (
-                s.paths,
-                s.queries,
-                s.refuted,
-                s.witnessed,
-                s.budget_exhausted,
-                s.cache_hits
+                a.paths,
+                a.queries,
+                a.refuted,
+                a.witnessed,
+                a.budget_exhausted,
+                a.cache_hits
             ),
             (
-                par.paths,
-                par.queries,
-                par.refuted,
-                par.witnessed,
-                par.budget_exhausted,
-                par.cache_hits
+                b.paths,
+                b.queries,
+                b.refuted,
+                b.witnessed,
+                b.budget_exhausted,
+                b.cache_hits
             ),
-            "{}: refuter counters must not depend on --refute-jobs",
-            serial.app_name
+            "{}: refuter counters must not vary run to run",
+            first.app_name
         );
+        max_queries = max_queries.max(a.queries);
     }
+    assert!(max_queries > 16, "some app spans more than one cache batch");
 }
 
 #[test]

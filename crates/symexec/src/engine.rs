@@ -79,7 +79,7 @@ pub struct RefuterStats {
 
 impl RefuterStats {
     /// Adds `other`'s counters into `self` (used when merging the
-    /// per-worker refuters of a parallel refutation batch).
+    /// forked refuters of a refutation batch).
     pub fn absorb(&mut self, other: &RefuterStats) {
         self.queries += other.queries;
         self.refuted += other.refuted;
@@ -171,12 +171,11 @@ impl<'a> Refuter<'a> {
         }
     }
 
-    /// A worker refuter for one batch of a parallel refutation: shares
-    /// the caller index (an `Arc` bump), snapshots the current
-    /// refuted-methods cache, and starts with zeroed stats. Verdicts of
-    /// a fork depend only on the snapshot, never on what sibling
-    /// workers discover concurrently — that is what makes parallel
-    /// refutation thread-count-independent.
+    /// A refuter for one pair of a refutation batch: shares the caller
+    /// index (an `Arc` bump), snapshots the current refuted-methods
+    /// cache, and starts with zeroed stats. Verdicts of a fork depend
+    /// only on the snapshot, never on what sibling forks of the same
+    /// batch discover.
     #[must_use]
     pub fn fork(&self) -> Refuter<'a> {
         Refuter {

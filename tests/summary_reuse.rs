@@ -186,18 +186,6 @@ fn disk_store_round_trips_across_processes() {
     assert_eq!(w.pointer_iterations_run, 0, "no solver work cross-process");
     assert_eq!(w.corrupt_misses, 0);
 
-    // The ablation flag restores the old per-process behavior.
-    let ablated = {
-        let store: Arc<dyn SummaryStore> = Arc::new(DiskStore::new(&dir).expect("cache dir"));
-        let cfg = SierraConfig::builder().no_artifact_cache(true).build();
-        run_with_store(edit_pairs::base_app(), cfg, store)
-    };
-    assert!(
-        !ablated.metrics.link.analysis_reused,
-        "--no-artifact-cache must not read blobs"
-    );
-    assert!(ablated.metrics.link.pointer_iterations_run > 0);
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -279,58 +267,6 @@ fn true_child_processes_reuse_the_artifact_cache() {
     assert_eq!(warm_report, stable(&in_memory));
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shared_store_computes_framework_summaries_once_corpus_wide() {
-    let shared: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-    let cfg = SierraConfig::default();
-    let run_shared = |app: android_model::AndroidApp| {
-        SessionBuilder::new(cfg)
-            .app(app)
-            .store(Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>)
-            .shared_store(Arc::clone(&shared))
-            .build()
-            .expect("valid app")
-            .finish()
-            .expect("pipeline runs")
-    };
-
-    // First app: nothing shared yet; its framework summaries are
-    // promoted into the shared layer as they are computed.
-    let first = run_shared(edit_pairs::base_app());
-    assert_eq!(first.metrics.link.summaries_shared, 0, "cold shared layer");
-
-    // Second, *different* app with its own cold per-app store: every
-    // framework-origin method with a body is served from the shared
-    // layer — i.e. the framework slice is computed once corpus-wide.
-    let (app2, _) = corpus::figures::intra_component();
-    let framework_methods = app2
-        .program
-        .methods()
-        .iter()
-        .filter(|m| m.has_body() && app2.program.class(m.class).origin == apir::Origin::Framework)
-        .count();
-    assert!(framework_methods >= 1, "fixture must exercise the layer");
-    let second = run_shared(app2);
-    assert_eq!(
-        second.metrics.link.summaries_shared, framework_methods,
-        "all framework summaries must come from the shared layer"
-    );
-    assert!(
-        second.metrics.link.summaries_recomputed
-            < framework_methods + second.metrics.link.summaries_shared,
-        "shared hits must not be recomputed"
-    );
-
-    // Sharing changes work done, never results.
-    let (app2_again, _) = corpus::figures::intra_component();
-    let unshared = run_with_store(
-        app2_again,
-        cfg,
-        Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>,
-    );
-    assert_eq!(stable(&second), stable(&unshared));
 }
 
 #[test]
